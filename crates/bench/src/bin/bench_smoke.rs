@@ -1,7 +1,7 @@
 //! CI bench-smoke gate: quick-mode enumeration benchmarks on two presets,
 //! recorded as one JSON trajectory point and compared against the
-//! checked-in baseline (`BENCH_pr6.json`; `BENCH_pr3.json` / `BENCH_pr4.json`
-//! are earlier points of the same trajectory).
+//! checked-in baseline (`BENCH_pr12.json`; the other `BENCH_pr*.json`
+//! files are earlier points of the same trajectory).
 //!
 //! ```text
 //! bench_smoke check <baseline.json>   # run, compare, exit 1 on regression

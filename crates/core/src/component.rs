@@ -145,11 +145,7 @@ impl LocalComponent {
         let num_dissimilar_pairs = dis.total_targets() / 2;
         LocalComponent {
             adj,
-            dis: DissimilarityView::Eager(DissimilarityLists {
-                csr: dis,
-                num_pairs: num_dissimilar_pairs,
-                oracle_evals: 0,
-            }),
+            dis: DissimilarityView::Eager(DissimilarityLists::new(dis, num_dissimilar_pairs, 0)),
             num_dissimilar_pairs,
             oracle_evals: 0,
             local_to_global: (0..n as VertexId).collect(),
@@ -213,6 +209,14 @@ impl LocalComponent {
         self.dis.any_where(u, pred)
     }
 
+    /// Number of dissimilar partners of local vertex `u` inside `mask`,
+    /// a `⌈n/64⌉`-word vertex bit set. See
+    /// [`DissimilarityView::count_dissimilar_in`].
+    #[inline]
+    pub fn count_dissimilar_in(&self, u: VertexId, mask: &[u64]) -> u32 {
+        self.dis.count_dissimilar_in(u, mask)
+    }
+
     /// Degree of local vertex `u`.
     #[inline]
     pub fn degree(&self, u: VertexId) -> usize {
@@ -265,9 +269,10 @@ impl LocalComponent {
 
     /// Flat memory footprint in bytes: the struct itself plus the heap
     /// behind the adjacency CSR, the dissimilarity view, and the id
-    /// map. For lazy components this grows as rows are materialized,
-    /// so the serving layer's cache accounting re-samples it when it
-    /// reports `resident_bytes`.
+    /// map. It grows as lazy rows are materialized and once the search
+    /// order builds the dense dissimilarity matrix, so the serving
+    /// layer's cache accounting re-samples it when it reports
+    /// `resident_bytes`.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.adj.heap_bytes()

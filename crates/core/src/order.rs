@@ -56,9 +56,11 @@ pub struct Chooser {
     rng: StdRng,
     /// Scratch: per-vertex degree-drop accumulator for the 2-hop pass.
     drop: Vec<u32>,
-    /// Scratch: stamp marking first-hop removals.
-    stamp: Vec<u32>,
-    stamp_gen: u32,
+    /// Scratch: the expand branch's first-hop removals.
+    first: Vec<VertexId>,
+    /// Scratch: the current first-hop set as a `⌈n/64⌉`-word bit mask,
+    /// all zero between [`Chooser::two_hop`] calls.
+    first_mask: Vec<u64>,
 }
 
 impl Chooser {
@@ -69,8 +71,8 @@ impl Chooser {
             lambda: cfg.lambda,
             rng: StdRng::seed_from_u64(cfg.seed),
             drop: vec![0; n],
-            stamp: vec![0; n],
-            stamp_gen: 0,
+            first: Vec::new(),
+            first_mask: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -162,15 +164,17 @@ impl Chooser {
         let edges_total = st.edges_mc().max(1) as f64;
         // Expand: first-hop removals are the candidates dissimilar to v
         // (streamed — ordering heuristics never materialize lazy rows).
-        let mut first_expand: Vec<VertexId> = Vec::new();
+        let mut first = std::mem::take(&mut self.first);
+        first.clear();
         st.comp.for_each_dissimilar(v, |w| {
             if st.status(w) == Status::Cand {
-                first_expand.push(w);
+                first.push(w);
             }
         });
-        let (dp_e, ed_e) = self.two_hop(st, &first_expand, None);
+        let (dp_e, ed_e) = self.two_hop(st, &first);
+        self.first = first;
         // Shrink: the first-hop removal is v itself.
-        let (dp_s, ed_s) = self.two_hop(st, &[v], None);
+        let (dp_s, ed_s) = self.two_hop(st, &[v]);
         VertexEstimate {
             expand: BranchEstimate {
                 delta1: dp_e / dp_total,
@@ -187,42 +191,35 @@ impl Chooser {
     /// then every candidate neighbor whose degree falls below `k`
     /// (one extra hop). Double counts inside the removed set are corrected
     /// for the first hop; the second hop is a heuristic over-count, which
-    /// is fine for ordering purposes.
-    fn two_hop(
-        &mut self,
-        st: &SearchState<'_>,
-        first: &[VertexId],
-        _unused: Option<()>,
-    ) -> (f64, f64) {
-        self.stamp_gen += 1;
-        let gen = self.stamp_gen;
+    /// is fine for ordering purposes. `first` holds distinct candidates.
+    fn two_hop(&mut self, st: &SearchState<'_>, first: &[VertexId]) -> (f64, f64) {
+        let in_first = |mask: &[u64], w: VertexId| mask[w as usize / 64] >> (w % 64) & 1 == 1;
+        for &d in first {
+            self.first_mask[d as usize / 64] |= 1u64 << (d % 64);
+        }
         let mut dp_removed = 0i64;
         let mut edges_removed = 0i64;
-        for &d in first {
-            self.stamp[d as usize] = gen;
-        }
-        // First hop: exact within-set corrections.
+        // First hop: exact within-set corrections. `dp_c` counts a
+        // dissimilar pair inside `first` at both endpoints, and so do the
+        // popcounts: subtracting half of them counts each pair once.
+        let mut inside_pairs2 = 0i64;
         for &d in first {
             dp_removed += st.dp_c(d) as i64;
             edges_removed += st.deg_mc(d) as i64;
-            // Pairs/edges fully inside the removed set are counted twice.
-            st.comp.for_each_dissimilar(d, |w| {
-                if self.stamp[w as usize] == gen && w > d && st.status(w) == Status::Cand {
-                    dp_removed -= 1;
-                }
-            });
+            inside_pairs2 += st.comp.count_dissimilar_in(d, &self.first_mask) as i64;
             for &w in st.comp.neighbors(d) {
-                if self.stamp[w as usize] == gen && w > d {
+                if w > d && in_first(&self.first_mask, w) {
                     edges_removed -= 1;
                 }
             }
         }
+        dp_removed -= inside_pairs2 / 2;
         // Second hop: accumulate degree drops on surviving neighbors.
         let mut touched: Vec<VertexId> = Vec::new();
         for &d in first {
             for &w in st.comp.neighbors(d) {
                 let wi = w as usize;
-                if self.stamp[wi] != gen && matches!(st.status(w), Status::Cand) {
+                if !in_first(&self.first_mask, w) && matches!(st.status(w), Status::Cand) {
                     if self.drop[wi] == 0 {
                         touched.push(w);
                     }
@@ -238,6 +235,9 @@ impl Chooser {
                 edges_removed += st.deg_mc(w) as i64;
             }
             self.drop[wi] = 0;
+        }
+        for &d in first {
+            self.first_mask[d as usize / 64] = 0;
         }
         (dp_removed.max(0) as f64, edges_removed.max(0) as f64)
     }

@@ -69,8 +69,9 @@ pub struct CacheStats {
     /// allocations, so [`LocalComponent::memory_bytes`] covers every heap
     /// byte an entry owns. Re-sampled from the live entries at snapshot
     /// time rather than ledgered at insert: lazily materialized
-    /// dissimilarity rows grow an entry *after* it is cached, and the
-    /// snapshot must account for them.
+    /// dissimilarity rows and the search order's dense dissimilarity
+    /// matrix grow an entry *after* it is cached, and the snapshot must
+    /// account for them.
     pub resident_bytes: u64,
     /// Total wall-clock milliseconds spent preprocessing on cache
     /// misses. Together with `misses` this gives operators the average
@@ -691,6 +692,16 @@ mod tests {
             after > before,
             "snapshot must grow with materialized rows ({before} -> {after})"
         );
+        // The chooser's first popcount builds each component's dense
+        // dissimilarity matrix in place: n·⌈n/64⌉ words, seen by the
+        // next snapshot.
+        let mut dense_bytes = 0u64;
+        for c in comps.iter() {
+            let words = c.len().div_ceil(64);
+            c.count_dissimilar_in(0, &vec![0; words]);
+            dense_bytes += (c.len() * words * 8) as u64;
+        }
+        assert_eq!(cache.stats().resident_bytes, after + dense_bytes);
     }
 
     #[test]

@@ -34,9 +34,21 @@ pub struct DissimilarityLists {
     /// Metric evaluations the build spent (brute force pays
     /// `n·(n-1)/2`; the candidate indexes pay one per candidate pair).
     pub oracle_evals: u64,
+    /// Memoized dense bit matrix (see [`DissimilarityView::count_dissimilar_in`]).
+    dense: DenseMatrix,
 }
 
 impl DissimilarityLists {
+    /// Wraps a symmetric dissimilarity CSR.
+    pub fn new(csr: Csr, num_pairs: usize, oracle_evals: u64) -> Self {
+        DissimilarityLists {
+            csr,
+            num_pairs,
+            oracle_evals,
+            dense: DenseMatrix::default(),
+        }
+    }
+
     /// Number of vertices covered.
     pub fn len(&self) -> usize {
         self.csr.num_rows()
@@ -56,6 +68,15 @@ impl DissimilarityLists {
     pub fn are_dissimilar(&self, u: VertexId, v: VertexId) -> bool {
         self.csr.contains(u, v)
     }
+
+    /// The dense matrix, one bit per CSR entry.
+    fn dense(&self) -> &[u64] {
+        self.dense.get_or_build(self.len(), |u, row| {
+            for &w in self.row(u) {
+                row[w as usize / 64] |= 1u64 << (w % 64);
+            }
+        })
+    }
 }
 
 /// Process-global `similarity.*` registry counters (see `kr_obs`):
@@ -66,10 +87,12 @@ impl DissimilarityLists {
 /// `dissim_pairs` counts *materialized* pairs in both modes: the whole
 /// complement for an eager build, only memoized rows for a lazy one —
 /// `lazy_rows_materialized` / `lazy_rows_skipped` break the lazy
-/// traffic down further.
+/// traffic down further; `dense_builds` counts the bit matrices behind
+/// [`DissimilarityView::count_dissimilar_in`].
 struct SimObs {
     oracle_evals: std::sync::Arc<kr_obs::Counter>,
     dissim_builds: std::sync::Arc<kr_obs::Counter>,
+    dense_builds: std::sync::Arc<kr_obs::Counter>,
     dissim_pairs: std::sync::Arc<kr_obs::Counter>,
     lazy_rows_materialized: std::sync::Arc<kr_obs::Counter>,
     lazy_rows_skipped: std::sync::Arc<kr_obs::Counter>,
@@ -82,11 +105,61 @@ fn sim_obs() -> &'static SimObs {
         SimObs {
             oracle_evals: reg.counter("similarity.oracle_evals"),
             dissim_builds: reg.counter("similarity.dissim_builds"),
+            dense_builds: reg.counter("similarity.dense_builds"),
             dissim_pairs: reg.counter("similarity.dissim_pairs"),
             lazy_rows_materialized: reg.counter("similarity.lazy_rows_materialized"),
             lazy_rows_skipped: reg.counter("similarity.lazy_rows_skipped"),
         }
     })
+}
+
+/// Components up to this many vertices may hold an `n × n` dissimilarity
+/// bit matrix — the dense complement build's scratch and the memoized
+/// [`DissimilarityView::count_dissimilar_in`] kernel alike — which is at
+/// most `n·⌈n/64⌉·8` bytes, 2 MiB at the cap. Larger components stay on
+/// the sparse paths.
+pub const DENSE_MAX_N: usize = 4096;
+
+/// Memoized row-major dissimilarity bit matrix: row `u` is `⌈n/64⌉`
+/// words, bit `w` set iff `u` and `w` are dissimilar. Built at most once,
+/// on the first [`DissimilarityView::count_dissimilar_in`] call. Like
+/// the lazy row memo it is not part of a view's identity: clones start
+/// without it and equality ignores it.
+#[derive(Default)]
+struct DenseMatrix(OnceLock<Box<[u64]>>);
+
+impl DenseMatrix {
+    /// The matrix, building it from `set_row` (which fills one zeroed
+    /// row of `words` words) on first use.
+    fn get_or_build(&self, n: usize, mut set_row: impl FnMut(VertexId, &mut [u64])) -> &[u64] {
+        self.0.get_or_init(|| {
+            let words = n.div_ceil(64);
+            let mut bits = vec![0u64; n * words].into_boxed_slice();
+            if words > 0 {
+                for (u, row) in bits.chunks_exact_mut(words).enumerate() {
+                    set_row(u as VertexId, row);
+                }
+            }
+            sim_obs().dense_builds.inc();
+            bits
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.get().map_or(0, |m| std::mem::size_of_val(&m[..]))
+    }
+}
+
+impl Clone for DenseMatrix {
+    fn clone(&self) -> Self {
+        DenseMatrix::default()
+    }
+}
+
+impl std::fmt::Debug for DenseMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DenseMatrix({} B)", self.heap_bytes())
+    }
 }
 
 /// Lazily materialized dissimilarity lists: the complement of the
@@ -117,6 +190,8 @@ pub struct LazyDissimilarity {
     materialized_rows: AtomicUsize,
     /// Total entries across materialized rows (monotone).
     materialized_entries: AtomicUsize,
+    /// Memoized dense bit matrix (see [`DissimilarityView::count_dissimilar_in`]).
+    dense: DenseMatrix,
 }
 
 impl LazyDissimilarity {
@@ -140,6 +215,7 @@ impl LazyDissimilarity {
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             materialized_rows: AtomicUsize::new(0),
             materialized_entries: AtomicUsize::new(0),
+            dense: DenseMatrix::default(),
         }
     }
 
@@ -265,13 +341,30 @@ impl LazyDissimilarity {
         self.materialized_entries.load(Ordering::Relaxed)
     }
 
-    /// Current heap footprint: the similarity CSR, the row table, and
-    /// every memoized row. **Grows** as the search materializes rows —
-    /// cache accounting must re-read it, not snapshot it at build time.
+    /// Current heap footprint: the similarity CSR, the row table, every
+    /// memoized row and the dense matrix once built. **Grows** as the
+    /// search materializes rows — cache accounting must re-read it, not
+    /// snapshot it at build time.
     pub fn heap_bytes(&self) -> usize {
         self.sim.heap_bytes()
             + self.rows.capacity() * std::mem::size_of::<OnceLock<Box<[VertexId]>>>()
             + self.materialized_entries() * std::mem::size_of::<VertexId>()
+            + self.dense.heap_bytes()
+    }
+
+    /// The dense matrix as the complement of the similarity rows. Reads
+    /// only the similarity CSR, so no lazy row materializes.
+    fn dense(&self) -> &[u64] {
+        let n = self.len();
+        self.dense.get_or_build(n, |u, row| {
+            row.fill(!0);
+            if !n.is_multiple_of(64) {
+                row[n / 64] = (1u64 << (n % 64)) - 1;
+            }
+            for &w in self.sim.row(u).iter().chain(std::iter::once(&u)) {
+                row[w as usize / 64] &= !(1u64 << (w % 64));
+            }
+        })
     }
 }
 
@@ -284,6 +377,7 @@ impl Clone for LazyDissimilarity {
             rows: self.rows.clone(),
             materialized_rows: AtomicUsize::new(self.materialized_rows()),
             materialized_entries: AtomicUsize::new(self.materialized_entries()),
+            dense: DenseMatrix::default(),
         }
     }
 }
@@ -408,6 +502,36 @@ impl DissimilarityView {
         }
     }
 
+    /// Number of dissimilar partners of `u` whose bit is set in `mask`, a
+    /// vertex set of `⌈n/64⌉` words (bit `w % 64` of word `w / 64`).
+    ///
+    /// Up to [`DENSE_MAX_N`] vertices this is a popcount of `u`'s row of
+    /// the dense bit matrix, which the first call builds (from the eager
+    /// CSR, or from the lazy view's similarity rows without materializing
+    /// any lazy row) and memoizes for the view's lifetime. Larger views
+    /// visit `u`'s partners and test their mask bits.
+    pub fn count_dissimilar_in(&self, u: VertexId, mask: &[u64]) -> u32 {
+        let n = self.len();
+        let words = n.div_ceil(64);
+        debug_assert_eq!(mask.len(), words, "mask must cover 0..n");
+        if n > DENSE_MAX_N {
+            let mut count = 0;
+            self.for_each(u, |w| {
+                count += (mask[w as usize / 64] >> (w % 64)) as u32 & 1
+            });
+            return count;
+        }
+        let dense = match self {
+            DissimilarityView::Eager(d) => d.dense(),
+            DissimilarityView::Lazy(d) => d.dense(),
+        };
+        dense[u as usize * words..][..words]
+            .iter()
+            .zip(mask)
+            .map(|(r, m)| (r & m).count_ones())
+            .sum()
+    }
+
     /// Total dissimilar (unordered) pairs.
     pub fn num_pairs(&self) -> usize {
         match self {
@@ -451,7 +575,7 @@ impl DissimilarityView {
     /// materialize.
     pub fn heap_bytes(&self) -> usize {
         match self {
-            DissimilarityView::Eager(d) => d.csr.heap_bytes(),
+            DissimilarityView::Eager(d) => d.csr.heap_bytes() + d.dense.heap_bytes(),
             DissimilarityView::Lazy(d) => d.heap_bytes(),
         }
     }
@@ -606,11 +730,6 @@ pub fn build_similarity_graph_brute<O: SimilarityOracle>(
     b.build()
 }
 
-/// Components up to this many vertices take the bitmap complement path
-/// (`n²/8` bytes of scratch, 2 MiB at the cap); larger ones fall back to
-/// the CSR-merge complement.
-const BITMAP_COMPLEMENT_MAX_N: usize = 4096;
-
 /// Lays similar pairs out as the complementary dissimilarity CSR: every
 /// unordered non-similar pair is emitted in both directions and packed
 /// with the same counting sort the brute-force path used, so the layout
@@ -624,7 +743,7 @@ fn complement_to_csr(
     let total = n * n.saturating_sub(1) / 2;
     let num_pairs = total - num_similar;
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(num_pairs * 2);
-    if n <= BITMAP_COMPLEMENT_MAX_N {
+    if n <= DENSE_MAX_N {
         // Dense n×n bitmap: no sorting anywhere — flags set per similar
         // pair, complement rows emitted in naturally ascending order.
         let mut bits = vec![0u64; (n * n).div_ceil(64)];
@@ -671,11 +790,7 @@ fn complement_to_csr(
     obs.oracle_evals.add(oracle_evals);
     obs.dissim_builds.inc();
     obs.dissim_pairs.add(num_pairs as u64);
-    DissimilarityLists {
-        csr: Csr::from_pairs(n, &pairs),
-        num_pairs,
-        oracle_evals,
-    }
+    DissimilarityLists::new(Csr::from_pairs(n, &pairs), num_pairs, oracle_evals)
 }
 
 /// Builds dissimilarity lists over `members` (global ids), renumbered to
@@ -787,11 +902,7 @@ pub fn build_dissimilarity_lists_brute<O: SimilarityOracle>(
     obs.oracle_evals.add(evals);
     obs.dissim_builds.inc();
     obs.dissim_pairs.add(num_pairs as u64);
-    DissimilarityLists {
-        csr: Csr::from_pairs(n, &pairs),
-        num_pairs,
-        oracle_evals: evals,
-    }
+    DissimilarityLists::new(Csr::from_pairs(n, &pairs), num_pairs, evals)
 }
 
 #[cfg(test)]
@@ -975,5 +1086,113 @@ mod tests {
         let _ = a.row(0);
         assert_eq!(a, b, "memoization must not affect equality");
         assert_eq!(b.materialized_rows(), 0, "clone is independent");
+    }
+
+    /// 70 points on a line (two mask words, the second partial), similar
+    /// within distance 20.
+    fn line_oracle() -> (TableOracle, Vec<VertexId>) {
+        let o = TableOracle::new(
+            AttributeTable::points((0..70).map(|i| (i as f64, 0.0)).collect()),
+            Metric::Euclidean,
+            Threshold::MaxDistance(20.0),
+        );
+        (o, (0..70).collect())
+    }
+
+    fn dense_memo(view: &DissimilarityView) -> &DenseMatrix {
+        match view {
+            DissimilarityView::Eager(d) => &d.dense,
+            DissimilarityView::Lazy(d) => &d.dense,
+        }
+    }
+
+    fn mask_of(n: usize, members: impl IntoIterator<Item = VertexId>) -> Vec<u64> {
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        for w in members {
+            mask[w as usize / 64] |= 1 << (w % 64);
+        }
+        mask
+    }
+
+    #[test]
+    fn count_dissimilar_in_matches_row_scan() {
+        let (o, members) = line_oracle();
+        let n = members.len();
+        for mode in [DissimMode::Eager, DissimMode::Lazy] {
+            let view = build_dissimilarity_view(&o, &members, mode);
+            for stride in [1u32, 3, 7] {
+                let mask = mask_of(n, (0..n as VertexId).filter(|w| w % stride == 0));
+                for u in 0..n as VertexId {
+                    let mut want = 0;
+                    view.for_each(u, |w| want += u32::from(w % stride == 0));
+                    assert_eq!(view.count_dissimilar_in(u, &mask), want, "{mode:?} u={u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_matrix_is_built_once_and_accounted() {
+        let (o, members) = line_oracle();
+        let n = members.len();
+        let mask = mask_of(n, [0, 69]);
+        for mode in [DissimMode::Eager, DissimMode::Lazy] {
+            let view = build_dissimilarity_view(&o, &members, mode);
+            let (bytes, rows, entries) = (
+                view.heap_bytes(),
+                view.materialized_rows(),
+                view.materialized_entries(),
+            );
+            assert!(
+                dense_memo(&view).0.get().is_none(),
+                "built on first use only"
+            );
+            assert_eq!(view.count_dissimilar_in(69, &mask), 1);
+            let built = dense_memo(&view).0.get().expect("built").as_ptr();
+            assert_eq!(
+                view.heap_bytes(),
+                bytes + n * n.div_ceil(64) * 8,
+                "{mode:?}"
+            );
+            assert_eq!(view.materialized_rows(), rows, "no lazy row materializes");
+            assert_eq!(view.materialized_entries(), entries);
+            assert_eq!(view.count_dissimilar_in(0, &mask), 1);
+            let again = dense_memo(&view).0.get().expect("built").as_ptr();
+            assert_eq!(built, again, "{mode:?}: the matrix is built at most once");
+            assert_eq!(view.heap_bytes(), bytes + n * n.div_ceil(64) * 8);
+        }
+    }
+
+    #[test]
+    fn no_dense_matrix_above_the_cap() {
+        let n = DENSE_MAX_N + 1;
+        // Only 0-1 similar: everyone else is dissimilar to everyone.
+        let view = DissimilarityView::Lazy(LazyDissimilarity::from_similar(n, &[(0, 1)], 0));
+        let bytes = view.heap_bytes();
+        let mask = mask_of(n, [0, 1, 2, n as VertexId - 1]);
+        assert_eq!(view.count_dissimilar_in(0, &mask), 2);
+        assert_eq!(view.count_dissimilar_in(n as VertexId - 1, &mask), 3);
+        assert!(dense_memo(&view).0.get().is_none());
+        assert_eq!(view.heap_bytes(), bytes);
+        assert_eq!(view.materialized_rows(), 0);
+    }
+
+    #[test]
+    fn clone_and_equality_ignore_dense_matrix() {
+        let (o, members) = line_oracle();
+        let mask = mask_of(members.len(), [5]);
+        for mode in [DissimMode::Eager, DissimMode::Lazy] {
+            let a = build_dissimilarity_view(&o, &members, mode);
+            let fresh = a.clone();
+            a.count_dissimilar_in(60, &mask);
+            let b = a.clone();
+            assert_eq!(a, fresh, "{mode:?}: the matrix must not affect equality");
+            assert_eq!(a, b);
+            assert!(
+                dense_memo(&b).0.get().is_none(),
+                "{mode:?}: clones start without it"
+            );
+            assert!(b.heap_bytes() < a.heap_bytes());
+        }
     }
 }
