@@ -104,12 +104,18 @@ const MAX_ORACLE_EVALS_REGRESSION_PCT: f64 = 10.0;
 /// In-run gate on the decomposition-index miss path: on the DblpLike
 /// point, `preprocess_with_candidates` over the index-resolved candidates
 /// must be at least this many times faster than full preprocessing. Both
-/// sides are best-of-3 on the same machine in the same process, so the
-/// ratio is stable. The metric-aware candidate indexes (PR 4) already
+/// sides are best-of-[`PREPROCESS_SAMPLES`], timed alternately on the same
+/// machine in the same process, so the ratio is stable. The metric-aware candidate indexes (PR 4) already
 /// made full preprocessing cheap on this point, so the decomposition
 /// index's remaining win is modest — measured ~1.2× locally — and the
 /// gate guards that it stays a win at all, not a fictional margin.
 const MIN_INDEX_SPEEDUP: f64 = 1.05;
+
+/// Timed samples of full and of indexed preprocessing per point, taken
+/// alternately (full, indexed, full, …); the minimum of each is reported.
+/// Two ~3 ms timings taken best-of-3 in separate blocks swung the gate's
+/// ratio from 0.83× to 1.22× between runs on one machine.
+const PREPROCESS_SAMPLES: usize = 15;
 
 /// In-run gate on the lazy dissimilarity view: on the `geo-corridor`
 /// point the bound-pruned maximum search must leave at least 70% of the
@@ -229,13 +235,6 @@ fn measure_instance(
     r: f64,
     p: &kr_core::ProblemInstance,
 ) -> Point {
-    let mut preprocess_ms = f64::INFINITY;
-    let mut comps = Vec::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        comps = p.preprocess();
-        preprocess_ms = preprocess_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
     // The decomposition-index miss path: build once (amortized per
     // dataset in the server), then preprocess only the index-resolved
     // candidates.
@@ -243,8 +242,15 @@ fn measure_instance(
     let index = kr_core::DecompositionIndex::build_default(p.graph(), p.oracle());
     let index_build_ms = t.elapsed().as_secs_f64() * 1e3;
     let candidates = index.candidates(k, p.oracle().threshold());
+    // Full and indexed preprocessing alternate, so both minima see the
+    // same machine state: the in-run speedup gate compares them.
+    let mut preprocess_ms = f64::INFINITY;
     let mut indexed_preprocess_ms = f64::INFINITY;
-    for _ in 0..3 {
+    let mut comps = Vec::new();
+    for _ in 0..PREPROCESS_SAMPLES {
+        let t = Instant::now();
+        comps = p.preprocess();
+        preprocess_ms = preprocess_ms.min(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
         let indexed_comps = black_box(p.preprocess_with_candidates(&candidates.vertices));
         indexed_preprocess_ms = indexed_preprocess_ms.min(t.elapsed().as_secs_f64() * 1e3);

@@ -147,7 +147,7 @@ pub enum CheckOrder {
 /// worker busy while the rest idle. Re-splitting lets a *running*
 /// subtask donate the remaining (not yet explored) sibling branches of
 /// its current DFS path as fresh subtasks when the pool runs dry.
-/// Results stay vertex-set-identical to the sequential engine under
+/// Results stay vertex-set-identical to the inline run under
 /// every policy — donated subtrees keep their DFS merge position and
 /// their start incumbent is DFS-prefix knowledge only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -212,19 +212,16 @@ pub struct AlgoConfig {
     /// every search node; the run reports `completed = false` when
     /// exceeded — the harness renders that as the paper's INF.
     pub time_limit_ms: Option<u64>,
-    /// Process components in parallel with scoped threads (one thread per
-    /// component; coarse-grained). Superseded by [`Self::threads`], which
-    /// also splits *within* components; kept for the ablation harness.
-    pub parallel_components: bool,
-    /// Worker threads for the work-stealing engine ([`crate::parallel`]).
-    /// `1` = run the sequential engine (default); `0` = use all available
-    /// cores; `n > 1` = exactly `n` workers. Parallel runs produce results
-    /// identical to the sequential engine (see the module docs of
-    /// [`crate::parallel`] for why that holds even for the maximum
-    /// search's tie-breaking).
+    /// Worker threads for the search engine ([`crate::parallel`]). `1` =
+    /// the inline, unsplit run: the whole walk on the calling thread, no
+    /// pool (default); `0` = use all available cores; `n > 1` = exactly
+    /// `n` workers, the tree split into subtasks on a work-stealing pool.
+    /// Split runs produce results identical to the inline run (see the
+    /// module docs of [`crate::parallel`] for why that holds even for the
+    /// maximum search's tie-breaking).
     pub threads: usize,
-    /// Adaptive re-splitting policy for parallel runs (ignored by the
-    /// sequential engine). See [`Resplit`].
+    /// Adaptive re-splitting policy for split runs (ignored by the inline
+    /// run). See [`Resplit`].
     pub resplit: Resplit,
     /// Streaming callback for enumeration: called once per confirmed
     /// maximal core as it is discovered (see [`CoreHook`] for when the
@@ -259,7 +256,6 @@ impl AlgoConfig {
             seed: 0,
             node_limit: None,
             time_limit_ms: None,
-            parallel_components: false,
             threads: 1,
             resplit: Resplit::default(),
             on_core: None,
@@ -332,7 +328,6 @@ impl AlgoConfig {
             seed: 0,
             node_limit: None,
             time_limit_ms: None,
-            parallel_components: false,
             threads: 1,
             resplit: Resplit::default(),
             on_core: None,
@@ -427,7 +422,7 @@ impl AlgoConfig {
     }
 
     /// Builder-style override of the worker-thread count (`0` = all
-    /// available cores, `1` = sequential engine).
+    /// available cores, `1` = the inline, unsplit run).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -17,13 +17,13 @@
 //! subset post-filter of Algorithm 1.
 
 use crate::component::LocalComponent;
-use crate::config::AlgoConfig;
+use crate::config::{AlgoConfig, CoreHook};
 use crate::early_term::can_terminate;
 use crate::maximal::check_maximal_with_order;
-use crate::order::Chooser;
+use crate::parallel::{branch, Search, Walk};
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
-use crate::search::{Decision, SearchState, SearchStats, Status};
+use crate::search::{SearchState, SearchStats, Status};
 use kr_graph::VertexId;
 
 /// Result of an enumeration run.
@@ -55,15 +55,12 @@ impl EnumResult {
 /// Enumerates all maximal (k,r)-cores of `problem` under `cfg`.
 ///
 /// With [`AlgoConfig::threads`] ≠ 1 (and candidate pruning on — NaiveEnum
-/// has no safe split points), the run is dispatched to the work-stealing
-/// engine of [`crate::parallel`], which returns the identical core family.
-/// Node-limited runs stay sequential: a per-worker node budget would
-/// change what "limit reached" means and break that equivalence.
+/// has no safe split points) the search tree is split across a
+/// work-stealing pool ([`crate::parallel`]), which returns the identical
+/// core family. Node-limited runs stay inline: a per-worker node budget
+/// would change what "limit reached" means and break that equivalence.
 pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_parallel(problem, cfg);
-    }
-    enumerate_sequential(&problem.preprocess(), cfg)
+    crate::parallel::solve(problem, cfg, crate::parallel::enumerate_on)
 }
 
 /// [`enumerate_maximal`] over components preprocessed earlier (e.g. by
@@ -72,336 +69,102 @@ pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumRes
 /// stem from the same `(k, r)` the query runs with — preprocessing bakes
 /// both the k-core peel and the dissimilarity lists into the arena.
 pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_parallel_prepared(comps, cfg);
-    }
-    enumerate_sequential(comps, cfg)
+    crate::parallel::enumerate_on(comps, cfg, crate::parallel::pool_for(cfg).as_ref())
 }
 
 /// [`enumerate_maximal_prepared`] on a caller-provided pool — the
 /// serving layer builds **one** pool per query and threads it through
 /// the preprocessing it may have to run on a cache miss
 /// ([`ProblemInstance::preprocess_on`]) and this search. The pool is
-/// ignored when the configuration is sequential-only (`threads == 1`,
+/// ignored when the run is inline (`threads == 1`, a one-worker pool,
 /// NaiveEnum, or a node-limited run).
 pub fn enumerate_maximal_prepared_on(
     comps: &[LocalComponent],
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_on(comps, cfg, pool);
-    }
-    enumerate_sequential(comps, cfg)
+    crate::parallel::enumerate_on(comps, cfg, Some(pool))
 }
 
-/// Parallel dispatch guard: NaiveEnum has no safe split points and
-/// node-limited runs stay sequential (a per-worker budget would change
-/// what "limit reached" means).
-fn parallel_eligible(cfg: &AlgoConfig) -> bool {
-    cfg.threads != 1 && cfg.prune_candidates && cfg.node_limit.is_none()
-}
-
-fn enumerate_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut sink = CoreSink::new();
-    // One wall-clock budget for the whole run, shared by all components.
-    let deadline = cfg
-        .time_limit_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-
-    let run_one = |comp: &LocalComponent| -> (CoreSink, SearchStats, bool) {
-        let mut driver = Driver::new(comp, cfg, deadline).with_streaming();
-        driver.run();
-        (driver.sink, driver.stats, !driver.aborted)
-    };
-
-    if cfg.parallel_components && comps.len() > 1 {
-        // One scoped thread per component; join order preserves component
-        // order, so the merged result is deterministic.
-        let results: Vec<(CoreSink, SearchStats, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comps
-                .iter()
-                .map(|comp| scope.spawn(|| run_one(comp)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("component worker panicked"))
-                .collect()
-        });
-        for (s, st, ok) in results {
-            for c in s.into_cores() {
-                sink.push(c);
+/// Pushes `core` into the dedup sink and, when it is new, streams it to
+/// `hook`.
+pub(crate) fn push_core(sink: &mut CoreSink, core: KrCore, hook: Option<&CoreHook>) {
+    match hook {
+        Some(hook) => {
+            if sink.push(core.clone()) {
+                hook.emit(&core);
             }
-            merge_stats(&mut stats, st);
-            completed &= ok;
         }
-    } else {
-        for comp in comps {
-            let (s, st, ok) = run_one(comp);
-            for c in s.into_cores() {
-                sink.push(c);
-            }
-            merge_stats(&mut stats, st);
-            completed &= ok;
+        None => {
+            sink.push(core);
         }
     }
-
-    // Algorithm 1 lines 6–8: naive maximal post-filter, needed whenever the
-    // Theorem 6 check was not active.
-    let mut cores = if cfg.maximal_check {
-        sink.into_cores()
-    } else {
-        sink.into_maximal()
-    };
-    cores.sort_by(|a, b| a.vertices.cmp(&b.vertices));
-    EnumResult {
-        cores,
-        stats,
-        completed,
-    }
 }
 
-pub(crate) fn merge_stats(into: &mut SearchStats, from: SearchStats) {
-    into.nodes += from.nodes;
-    into.leaves += from.leaves;
-    into.early_terminations += from.early_terminations;
-    into.bound_prunes += from.bound_prunes;
-    into.maximal_checks += from.maximal_checks;
-    into.resplits += from.resplits;
-    into.resplit_subtasks += from.resplit_subtasks;
-}
-
-/// Per-component enumeration driver. `pub(crate)` so the parallel engine
-/// ([`crate::parallel`]) can drive frontier generation and subtask replay
-/// through the exact same per-node logic.
+/// Per-component enumeration driver: Algorithm 3's walk, run inline, as
+/// a split run's frontier generator, or as a pool task (see
+/// [`crate::parallel`]).
 pub(crate) struct Driver<'a> {
-    comp: &'a LocalComponent,
-    cfg: &'a AlgoConfig,
-    chooser: Chooser,
+    pub(crate) walk: Walk<'a>,
     pub(crate) sink: CoreSink,
-    pub(crate) stats: SearchStats,
-    pub(crate) aborted: bool,
-    deadline: Option<std::time::Instant>,
     /// Leaf pieces already resolved (emitted or rejected as non-maximal):
     /// the same piece reappears at many leaves, and its maximality verdict
     /// cannot change — the candidate universe only depends on the piece.
     checked: std::collections::HashSet<Vec<VertexId>>,
-    /// Streaming hook, armed by [`Self::with_streaming`] for sequential
-    /// runs. Parallel task drivers leave it off — cross-task duplicates
-    /// are only resolved in the merge phase, which streams instead.
-    stream: Option<crate::config::CoreHook>,
-    /// Re-split host, armed by [`Self::with_host`] on parallel task
-    /// drivers: when the pool starves, pending sibling branches of the
-    /// current DFS path are donated as fresh subtasks.
-    host: Option<&'a dyn crate::parallel::DonationHost>,
-    /// Decision path from the component root to the current node
-    /// (prefix decisions included for task drivers).
-    path: Vec<Decision>,
-    /// One entry per ancestor whose second branch is still pending —
-    /// the frontier a re-split donates from.
-    slots: Vec<crate::parallel::DonationSlot>,
+    /// Streaming hook, armed by [`Self::with_streaming`] for inline runs.
+    /// Split runs leave it off — cross-task duplicates are only resolved
+    /// in the merge phase, which streams instead.
+    stream: Option<CoreHook>,
 }
 
 impl<'a> Driver<'a> {
-    pub(crate) fn new(
-        comp: &'a LocalComponent,
-        cfg: &'a AlgoConfig,
-        deadline: Option<std::time::Instant>,
-    ) -> Self {
+    pub(crate) fn new(walk: Walk<'a>) -> Self {
         Driver {
-            comp,
-            cfg,
-            chooser: Chooser::new(cfg, comp.len()),
+            walk,
             sink: CoreSink::new(),
-            stats: SearchStats::default(),
-            aborted: false,
-            deadline,
             checked: std::collections::HashSet::new(),
             stream: None,
-            host: None,
-            path: Vec::new(),
-            slots: Vec::new(),
         }
-    }
-
-    /// Arms re-splitting on this (parallel task) driver: `host` is polled
-    /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh subtasks when the pool runs dry.
-    pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
-        self.host = Some(host);
-        self
     }
 
     /// Arms the [`AlgoConfig::on_core`] hook on this driver. Only honored
     /// with the Theorem 6 maximal check, where every pushed core is
     /// already final (see [`crate::config::CoreHook`]).
     pub(crate) fn with_streaming(mut self) -> Self {
-        if self.cfg.maximal_check {
-            self.stream = self.cfg.on_core.clone();
+        if self.walk.cfg.maximal_check {
+            self.stream = self.walk.cfg.on_core.clone();
         }
         self
     }
 
-    /// Pushes into the dedup sink; a *new* core is also streamed when the
-    /// hook is armed.
     fn push_core(&mut self, core: KrCore) {
-        match &self.stream {
-            Some(hook) => {
-                if self.sink.push(core.clone()) {
-                    hook.emit(&core);
-                }
-            }
-            None => {
-                self.sink.push(core);
-            }
-        }
+        push_core(&mut self.sink, core, self.stream.as_ref());
     }
 
-    fn run(&mut self) {
-        let mut st = SearchState::new(self.comp);
-        if self.cfg.prune_candidates {
-            if !st.prune_root() {
-                return;
-            }
-            self.advanced_rec(&mut st);
+    /// Searches the component from its root.
+    pub(crate) fn run(&mut self) {
+        if self.walk.cfg.prune_candidates {
+            crate::parallel::run(self, &[]);
         } else {
+            let mut st = SearchState::new(self.walk.comp);
             self.naive_rec(&mut st);
         }
     }
 
-    /// Depth-limited AdvEnum descent for the parallel engine: processes
-    /// nodes exactly like [`Self::advanced_rec`], but instead of recursing
-    /// past `depth` levels it records the decision path as a subtask
-    /// prefix. Leaves, terminations, and prunes above the split depth are
-    /// handled (and emitted into this driver's sink) right here, so
-    /// `frontier ∪ shallow leaves` covers the whole tree exactly once.
-    pub(crate) fn collect_frontier(&mut self, depth: usize) -> Vec<Vec<Decision>> {
-        let mut out = Vec::new();
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return out;
-        }
-        let mut path = Vec::new();
-        self.frontier_rec(&mut st, depth, &mut path, &mut out);
-        out
-    }
-
-    fn frontier_rec(
-        &mut self,
-        st: &mut SearchState<'a>,
-        depth_left: usize,
-        path: &mut Vec<Decision>,
-        out: &mut Vec<Vec<Decision>>,
-    ) {
-        if depth_left == 0 {
-            out.push(path.clone());
-            return;
-        }
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        let leaf = if self.cfg.retain_candidates {
-            st.all_candidates_similarity_free()
-        } else {
-            st.sizes().1 == 0
-        };
-        if leaf {
-            self.stats.leaves += 1;
-            self.emit_leaf(st);
-            return;
-        }
-        let include_sf = !self.cfg.retain_candidates;
-        let Some((u, _)) = self.chooser.choose(st, include_sf) else {
-            return;
-        };
-        let m = st.mark();
-        if st.expand(u) {
-            path.push((u, true));
-            self.frontier_rec(st, depth_left - 1, path, out);
-            path.pop();
-        }
-        st.rollback(m);
-        if st.shrink(u) {
-            path.push((u, false));
-            self.frontier_rec(st, depth_left - 1, path, out);
-            path.pop();
-        }
-        st.rollback(m);
-    }
-
-    /// Replays a frontier prefix on a fresh state and runs the full
-    /// search below it. Replay applies the same node-entry promotions the
-    /// frontier generator applied, so the reconstructed state is
-    /// bit-identical to the generator's state at that node.
-    pub(crate) fn run_prefix(&mut self, prefix: &[Decision]) {
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return;
-        }
-        for (i, &(u, expand)) in prefix.iter().enumerate() {
-            if self.cfg.retain_candidates {
-                promote_free_candidates(&mut st);
-            }
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if !ok {
-                // Only the *final* decision of a donated prefix may fail:
-                // it is the one branch the donor never attempted itself,
-                // and an infeasible sibling is an empty subtree.
-                debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
-                return;
-            }
-        }
-        self.path = prefix.to_vec();
-        self.advanced_rec(&mut st);
-        self.path.clear();
-    }
-
-    fn budget_exceeded(&mut self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.nodes >= limit {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(cancel) = &self.cfg.cancel {
-            if cancel.is_cancelled() {
-                self.aborted = true;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Algorithm 2: exhaustive expand/shrink with whole-set validation.
     fn naive_rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
+        self.walk.stats.nodes += 1;
+        if self.walk.budget_exceeded() {
             return;
         }
         let (_, n_c, _) = st.sizes();
         if n_c == 0 {
-            self.stats.leaves += 1;
+            self.walk.stats.leaves += 1;
             self.emit_naive(st);
             return;
         }
         // Any candidate works for the naive tree; take the lowest id.
-        let u = (0..self.comp.len() as VertexId)
+        let u = (0..self.walk.comp.len() as VertexId)
             .find(|&v| st.status(v) == Status::Cand)
             .expect("candidate exists");
         let m = st.mark();
@@ -421,7 +184,7 @@ impl<'a> Driver<'a> {
             return;
         }
         let in_m: Vec<bool> = {
-            let mut v = vec![false; self.comp.len()];
+            let mut v = vec![false; self.walk.comp.len()];
             for &u in &m_members {
                 v[u as usize] = true;
             }
@@ -430,88 +193,24 @@ impl<'a> Driver<'a> {
         // degmin(M) >= k.
         for &u in &m_members {
             let d = self
+                .walk
                 .comp
                 .neighbors(u)
                 .iter()
                 .filter(|&&w| in_m[w as usize])
                 .count() as u32;
-            if d < self.comp.k {
+            if d < self.walk.comp.k {
                 return;
             }
         }
         // DP(M) = 0.
         for &u in &m_members {
-            if self.comp.any_dissimilar_where(u, |w| in_m[w as usize]) {
+            if self.walk.comp.any_dissimilar_where(u, |w| in_m[w as usize]) {
                 return;
             }
         }
-        for piece in components_of(self.comp, &m_members) {
-            self.push_core(KrCore::new(self.comp.globalize(&piece)));
-        }
-    }
-
-    /// Algorithm 3 (AdvEnum) and its ablations.
-    fn advanced_rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        crate::parallel::maybe_donate(self.host, &self.path, &mut self.slots, 0, &mut self.stats);
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        let leaf = if self.cfg.retain_candidates {
-            st.all_candidates_similarity_free()
-        } else {
-            st.sizes().1 == 0
-        };
-        if leaf {
-            self.stats.leaves += 1;
-            self.emit_leaf(st);
-            return;
-        }
-        let include_sf = !self.cfg.retain_candidates;
-        let Some((u, _)) = self.chooser.choose(st, include_sf) else {
-            return;
-        };
-        // Task drivers track the DFS path and the pending second branch
-        // of every ancestor — the frontier `maybe_donate` splits from. A
-        // donated sibling is skipped inline on unwind; sequential runs
-        // (no host) skip the bookkeeping entirely.
-        let track = self.host.is_some();
-        let m = st.mark();
-        let mut donated = None;
-        if st.expand(u) {
-            if track {
-                self.slots.push(crate::parallel::DonationSlot {
-                    depth: self.path.len(),
-                    sibling: (u, false),
-                    donated: None,
-                });
-                self.path.push((u, true));
-            }
-            self.advanced_rec(st);
-            if track {
-                self.path.pop();
-                donated = self.slots.pop().expect("slot pushed above").donated;
-            }
-        }
-        st.rollback(m);
-        if donated.is_none() {
-            if st.shrink(u) {
-                if track {
-                    self.path.push((u, false));
-                }
-                self.advanced_rec(st);
-                if track {
-                    self.path.pop();
-                }
-            }
-            st.rollback(m);
+        for piece in components_of(self.walk.comp, &m_members) {
+            self.push_core(KrCore::new(self.walk.comp.globalize(&piece)));
         }
     }
 
@@ -521,7 +220,7 @@ impl<'a> Driver<'a> {
         let pieces = st.mc_components();
         let (n_m, _, _) = st.sizes();
         for piece in &pieces {
-            if piece.len() <= self.comp.k as usize {
+            if piece.len() <= self.walk.comp.k as usize {
                 continue; // cannot satisfy deg >= k (defensive; invariant implies it)
             }
             let m_inside = piece
@@ -529,7 +228,7 @@ impl<'a> Driver<'a> {
                 .filter(|&&v| st.status(v) == Status::Chosen)
                 .count() as u32;
             let contains_all_m = m_inside == n_m;
-            if self.cfg.maximal_check {
+            if self.walk.cfg.maximal_check {
                 // Sound only for pieces containing all of M (see module
                 // docs); other pieces are found on their own branches.
                 if !contains_all_m {
@@ -546,21 +245,57 @@ impl<'a> Driver<'a> {
                         candidates.extend_from_slice(other);
                     }
                 }
-                self.stats.maximal_checks += 1;
+                self.walk.stats.maximal_checks += 1;
                 if check_maximal_with_order(
-                    self.comp,
-                    self.comp.k,
+                    self.walk.comp,
+                    self.walk.comp.k,
                     piece,
                     &candidates,
-                    self.cfg.check_order,
-                    self.cfg.lambda,
+                    self.walk.cfg.check_order,
+                    self.walk.cfg.lambda,
                 ) {
-                    self.push_core(KrCore::new(self.comp.globalize(piece)));
+                    self.push_core(KrCore::new(self.walk.comp.globalize(piece)));
                 }
             } else {
-                self.push_core(KrCore::new(self.comp.globalize(piece)));
+                self.push_core(KrCore::new(self.walk.comp.globalize(piece)));
             }
         }
+    }
+}
+
+impl<'a> Search<'a> for Driver<'a> {
+    fn walk(&mut self) -> &mut Walk<'a> {
+        &mut self.walk
+    }
+
+    /// Algorithm 3 (AdvEnum) and its ablations.
+    fn node(&mut self, st: &mut SearchState<'a>) {
+        if !self.walk.enter(0) {
+            return;
+        }
+        let cfg = self.walk.cfg;
+        if cfg.retain_candidates {
+            promote_free_candidates(st);
+        }
+        if cfg.early_termination && can_terminate(st) {
+            self.walk.stats.early_terminations += 1;
+            return;
+        }
+        let leaf = if cfg.retain_candidates {
+            st.all_candidates_similarity_free()
+        } else {
+            st.sizes().1 == 0
+        };
+        if leaf {
+            self.walk.stats.leaves += 1;
+            self.emit_leaf(st);
+            return;
+        }
+        let include_sf = !cfg.retain_candidates;
+        let Some((u, _)) = self.walk.chooser.choose(st, include_sf) else {
+            return;
+        };
+        branch(self, st, u, [true, false]);
     }
 }
 
@@ -744,16 +479,6 @@ mod tests {
         let res = enumerate_maximal(&p, &cfg);
         assert!(!res.completed);
         assert_eq!(streamed.load(std::sync::atomic::Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let p = bridged_cliques(7.0);
-        let seq = enumerate_maximal(&p, &AlgoConfig::adv_enum());
-        let mut cfg = AlgoConfig::adv_enum();
-        cfg.parallel_components = true;
-        let par = enumerate_maximal(&p, &cfg);
-        assert_eq!(seq.cores, par.cores);
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub use enumerate::{
     enumerate_maximal, enumerate_maximal_prepared, enumerate_maximal_prepared_on, EnumResult,
 };
 pub use maximum::{find_maximum, find_maximum_prepared, find_maximum_prepared_on, MaxResult};
+pub use parallel::thread_pool;
 pub use problem::ProblemInstance;
 pub use result::KrCore;
 pub use verify::{is_kr_core, verify_maximal_family};

@@ -15,10 +15,12 @@ use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, BoundKind, BranchPolicy};
 use crate::early_term::can_terminate;
 use crate::enumerate::promote_free_candidates;
-use crate::order::{Chooser, FirstBranch};
+use crate::order::FirstBranch;
+use crate::parallel::{branch, Event, Search, Walk};
 use crate::problem::ProblemInstance;
 use crate::result::KrCore;
-use crate::search::{Decision, SearchState, SearchStats};
+use crate::search::{SearchState, SearchStats};
+use kr_graph::VertexId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of a maximum search.
@@ -34,17 +36,14 @@ pub struct MaxResult {
 
 /// Finds the maximum (k,r)-core of `problem` under `cfg`.
 ///
-/// With [`AlgoConfig::threads`] ≠ 1 the run is dispatched to the
-/// work-stealing engine of [`crate::parallel`], which shares the incumbent
+/// With [`AlgoConfig::threads`] ≠ 1 the search tree is split across a
+/// work-stealing pool ([`crate::parallel`]), which shares the incumbent
 /// size across workers through an atomic and — for deterministic search
-/// orders — returns the identical core. Node-limited runs stay
-/// sequential: a per-worker node budget would change what "limit reached"
-/// means and break that equivalence.
+/// orders — returns the identical core. Node-limited runs stay inline: a
+/// per-worker node budget would change what "limit reached" means and
+/// break that equivalence.
 pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_parallel(problem, cfg);
-    }
-    find_maximum_sequential(&problem.preprocess(), cfg)
+    crate::parallel::solve(problem, cfg, crate::parallel::find_maximum_on)
 }
 
 /// [`find_maximum`] over components preprocessed earlier (e.g. by
@@ -52,10 +51,7 @@ pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
 /// the initial peel/split stage is skipped. The components must stem from
 /// the same `(k, r)` the query runs with.
 pub fn find_maximum_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_parallel_prepared(comps, cfg);
-    }
-    find_maximum_sequential(comps, cfg)
+    crate::parallel::find_maximum_on(comps, cfg, crate::parallel::pool_for(cfg).as_ref())
 }
 
 /// [`find_maximum_prepared`] on a caller-provided pool (see
@@ -65,170 +61,34 @@ pub fn find_maximum_prepared_on(
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_on(comps, cfg, pool);
-    }
-    find_maximum_sequential(comps, cfg)
+    crate::parallel::find_maximum_on(comps, cfg, Some(pool))
 }
 
-/// Node-limited runs stay sequential (a per-worker node budget would
-/// change what "limit reached" means and break result equivalence).
-fn parallel_eligible(cfg: &AlgoConfig) -> bool {
-    cfg.threads != 1 && cfg.node_limit.is_none()
-}
-
-fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut best: Option<KrCore> = None;
-    // One wall-clock budget for the whole run, shared by all components.
-    let deadline = cfg
-        .time_limit_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-
-    // Components are ordered so that the one holding the highest-degree
-    // vertex is searched first (Section 6.1); later components whose total
-    // size cannot beat the incumbent are skipped outright.
-    for comp in comps {
-        let best_len = best.as_ref().map_or(0, |c| c.len());
-        if comp.len() <= best_len {
-            stats.bound_prunes += 1;
-            continue;
-        }
-        let mut driver = MaxDriver::new(comp, cfg, deadline, best_len, None);
-        let mut st = SearchState::new(comp);
-        if st.prune_root() {
-            driver.rec(&mut st);
-        }
-        if !driver.best_local.is_empty() {
-            best = Some(KrCore::new(comp.globalize(&driver.best_local)));
-        }
-        merge(&mut stats, driver.stats);
-        completed &= !driver.aborted;
-    }
-    MaxResult {
-        core: best,
-        stats,
-        completed,
-    }
-}
-
-fn merge(into: &mut SearchStats, from: SearchStats) {
-    crate::enumerate::merge_stats(into, from)
-}
-
-/// One DFS-ordered event produced by the maximum search's frontier
-/// generation (see [`crate::parallel`] for the merge protocol that keeps
-/// parallel results identical to sequential ones).
-#[derive(Debug, Clone)]
-pub(crate) enum MaxEvent {
-    /// A suspended subtree, to be replayed and searched by a worker. The
-    /// attached incumbent is the generator's best size when the task was
-    /// created — i.e. exactly the DFS-prefix knowledge a sequential run
-    /// would have had — so workers never prune on information from
-    /// DFS-later parts of the tree except through the *strict* shared
-    /// atomic bound, which provably cannot prune the final winner.
-    Task {
-        /// Decision path from the component root to the subtree.
-        prefix: Vec<Decision>,
-        /// Generator incumbent (best size) at task creation.
-        start_incumbent: usize,
-    },
-    /// A (k,r)-core found above the split depth that improved the
-    /// generator's incumbent.
-    Found {
-        /// Size of the piece.
-        size: usize,
-        /// Members (component-local ids).
-        piece: Vec<kr_graph::VertexId>,
-    },
-}
-
+/// Per-component maximum-search driver: Algorithm 5's walk, run inline,
+/// as a split run's frontier generator, or as a pool task (see
+/// [`crate::parallel`]).
 pub(crate) struct MaxDriver<'a> {
-    comp: &'a LocalComponent,
-    cfg: &'a AlgoConfig,
-    chooser: Chooser,
-    pub(crate) stats: SearchStats,
-    pub(crate) aborted: bool,
+    pub(crate) walk: Walk<'a>,
     /// Best core found in this component (local ids); empty = none yet.
-    pub(crate) best_local: Vec<kr_graph::VertexId>,
+    pub(crate) best_local: Vec<VertexId>,
     /// Size to beat (max of start incumbent and local best).
     pub(crate) best_len: usize,
-    deadline: Option<std::time::Instant>,
-    /// Shared incumbent size, published by every worker of a parallel
-    /// run. Only consulted with a *strict* comparison (`ub < global`):
-    /// unlike `best_len`, this value may stem from DFS-later subtrees, and
+    /// Shared incumbent size, published by every worker of a split run.
+    /// Only consulted with a *strict* comparison (`ub < global`): unlike
+    /// `best_len`, this value may stem from DFS-later subtrees, and
     /// pruning `ub == global` there could cut the tie-breaking core the
-    /// sequential run would have returned.
+    /// inline run would have returned.
     global: Option<&'a AtomicUsize>,
-    /// Re-split host, armed by [`Self::with_host`] on parallel task
-    /// drivers (see [`crate::parallel::DonationHost`]).
-    host: Option<&'a dyn crate::parallel::DonationHost>,
-    /// Decision path from the component root to the current node
-    /// (prefix decisions included for task drivers).
-    path: Vec<Decision>,
-    /// One entry per ancestor whose second branch is still pending —
-    /// the frontier a re-split donates from.
-    slots: Vec<crate::parallel::DonationSlot>,
-    /// DFS-ordered merge events (improving finds and donated-child
-    /// markers), recorded only when a host is armed.
-    pub(crate) events: Vec<crate::parallel::MergeEvent>,
 }
 
 impl<'a> MaxDriver<'a> {
-    pub(crate) fn new(
-        comp: &'a LocalComponent,
-        cfg: &'a AlgoConfig,
-        deadline: Option<std::time::Instant>,
-        best_len: usize,
-        global: Option<&'a AtomicUsize>,
-    ) -> Self {
+    pub(crate) fn new(walk: Walk<'a>, best_len: usize, global: Option<&'a AtomicUsize>) -> Self {
         MaxDriver {
-            comp,
-            cfg,
-            chooser: Chooser::new(cfg, comp.len()),
-            stats: SearchStats::default(),
-            aborted: false,
+            walk,
             best_local: Vec::new(),
             best_len,
-            deadline,
             global,
-            host: None,
-            path: Vec::new(),
-            slots: Vec::new(),
-            events: Vec::new(),
         }
-    }
-
-    /// Arms re-splitting on this (parallel task) driver: `host` is polled
-    /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh subtasks when the pool runs dry. Also switches
-    /// the driver to recording DFS-ordered [`crate::parallel::MergeEvent`]s.
-    pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
-        self.host = Some(host);
-        self
-    }
-
-    fn budget_exceeded(&mut self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.nodes >= limit {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(cancel) = &self.cfg.cancel {
-            if cancel.is_cancelled() {
-                self.aborted = true;
-                return true;
-            }
-        }
-        false
     }
 
     /// Algorithm 5 line 2 pruning: local incumbent with `<=`, shared
@@ -237,111 +97,14 @@ impl<'a> MaxDriver<'a> {
         ub <= self.best_len || self.global.is_some_and(|g| ub < g.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        crate::parallel::maybe_donate(
-            self.host,
-            &self.path,
-            &mut self.slots,
-            self.best_len,
-            &mut self.stats,
-        );
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        // Upper-bound pruning (Algorithm 5 line 2). Cheap bound first.
-        if self.bound_cut(st.mc_len() as usize) {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if self.cfg.bound != BoundKind::Naive
-            && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize)
-        {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if st.all_candidates_similarity_free() {
-            self.stats.leaves += 1;
-            self.record_leaf(st);
-            return;
-        }
-        let Some((u, preferred)) = self.chooser.choose(st, false) else {
-            return;
-        };
-        let first = match self.cfg.branch {
-            BranchPolicy::AlwaysExpand => FirstBranch::Expand,
-            BranchPolicy::AlwaysShrink => FirstBranch::Shrink,
-            BranchPolicy::Adaptive => preferred,
-        };
-        // Task drivers track the DFS path and the pending second branch
-        // of every ancestor (the re-split frontier); a donated sibling is
-        // skipped inline and marked with a `Child` event so the merge can
-        // splice the donated task's finds in at exactly this DFS point.
-        let track = self.host.is_some();
-        let branches = match first {
-            FirstBranch::Expand => [true, false],
-            FirstBranch::Shrink => [false, true],
-        };
-        let m = st.mark();
-        let mut donated = None;
-        let ok = if branches[0] {
-            st.expand(u)
-        } else {
-            st.shrink(u)
-        };
-        if ok {
-            if track {
-                self.slots.push(crate::parallel::DonationSlot {
-                    depth: self.path.len(),
-                    sibling: (u, branches[1]),
-                    donated: None,
-                });
-                self.path.push((u, branches[0]));
-            }
-            self.rec(st);
-            if track {
-                self.path.pop();
-                donated = self.slots.pop().expect("slot pushed above").donated;
-            }
-        }
-        st.rollback(m);
-        match donated {
-            Some(tid) => self.events.push(crate::parallel::MergeEvent::Child(tid)),
-            None => {
-                let ok = if branches[1] {
-                    st.expand(u)
-                } else {
-                    st.shrink(u)
-                };
-                if ok {
-                    if track {
-                        self.path.push((u, branches[1]));
-                    }
-                    self.rec(st);
-                    if track {
-                        self.path.pop();
-                    }
-                }
-                st.rollback(m);
-            }
-        }
-    }
-
     /// Every connected piece of a Theorem 4 leaf is a (k,r)-core; keep the
     /// largest and publish its size to the shared bound.
     fn record_leaf(&mut self, st: &SearchState<'a>) {
         for piece in st.mc_components() {
-            if piece.len() > self.best_len && piece.len() > self.comp.k as usize {
+            if piece.len() > self.best_len && piece.len() > self.walk.comp.k as usize {
                 self.best_len = piece.len();
-                if self.host.is_some() {
-                    self.events.push(crate::parallel::MergeEvent::Found {
+                if self.walk.tracking() {
+                    self.walk.events.push(Event::Found {
                         size: piece.len(),
                         piece: piece.clone(),
                     });
@@ -358,118 +121,47 @@ impl<'a> MaxDriver<'a> {
             }
         }
     }
+}
 
-    /// Depth-limited descent for the parallel engine: identical per-node
-    /// logic to [`Self::rec`], but subtrees below `depth` become
-    /// [`MaxEvent::Task`]s and shallow finds become [`MaxEvent::Found`]s,
-    /// in DFS order (respecting the branch policy).
-    pub(crate) fn collect_frontier(&mut self, depth: usize) -> Vec<MaxEvent> {
-        let mut out = Vec::new();
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return out;
-        }
-        let mut path = Vec::new();
-        self.frontier_rec(&mut st, depth, &mut path, &mut out);
-        out
+impl<'a> Search<'a> for MaxDriver<'a> {
+    fn walk(&mut self) -> &mut Walk<'a> {
+        &mut self.walk
     }
 
-    fn frontier_rec(
-        &mut self,
-        st: &mut SearchState<'a>,
-        depth_left: usize,
-        path: &mut Vec<Decision>,
-        out: &mut Vec<MaxEvent>,
-    ) {
-        if depth_left == 0 {
-            out.push(MaxEvent::Task {
-                prefix: path.clone(),
-                start_incumbent: self.best_len,
-            });
+    fn node(&mut self, st: &mut SearchState<'a>) {
+        if !self.walk.enter(self.best_len) {
             return;
         }
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        if self.cfg.retain_candidates {
+        let cfg = self.walk.cfg;
+        if cfg.retain_candidates {
             promote_free_candidates(st);
         }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
+        if cfg.early_termination && can_terminate(st) {
+            self.walk.stats.early_terminations += 1;
             return;
         }
-        if self.bound_cut(st.mc_len() as usize) {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if self.cfg.bound != BoundKind::Naive
-            && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize)
+        // Upper-bound pruning (Algorithm 5 line 2). Cheap bound first.
+        if self.bound_cut(st.mc_len() as usize)
+            || (cfg.bound != BoundKind::Naive
+                && self.bound_cut(size_upper_bound(st, cfg.bound) as usize))
         {
-            self.stats.bound_prunes += 1;
+            self.walk.stats.bound_prunes += 1;
             return;
         }
         if st.all_candidates_similarity_free() {
-            self.stats.leaves += 1;
-            for piece in st.mc_components() {
-                if piece.len() > self.best_len && piece.len() > self.comp.k as usize {
-                    self.best_len = piece.len();
-                    self.best_local = piece.clone();
-                    out.push(MaxEvent::Found {
-                        size: piece.len(),
-                        piece,
-                    });
-                }
-            }
+            self.walk.stats.leaves += 1;
+            self.record_leaf(st);
             return;
         }
-        let Some((u, preferred)) = self.chooser.choose(st, false) else {
+        let Some((u, preferred)) = self.walk.chooser.choose(st, false) else {
             return;
         };
-        let first = match self.cfg.branch {
-            BranchPolicy::AlwaysExpand => FirstBranch::Expand,
-            BranchPolicy::AlwaysShrink => FirstBranch::Shrink,
-            BranchPolicy::Adaptive => preferred,
+        let expand_first = match cfg.branch {
+            BranchPolicy::AlwaysExpand => true,
+            BranchPolicy::AlwaysShrink => false,
+            BranchPolicy::Adaptive => preferred == FirstBranch::Expand,
         };
-        let m = st.mark();
-        let branches = match first {
-            FirstBranch::Expand => [true, false],
-            FirstBranch::Shrink => [false, true],
-        };
-        for expand in branches {
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if ok {
-                path.push((u, expand));
-                self.frontier_rec(st, depth_left - 1, path, out);
-                path.pop();
-            }
-            st.rollback(m);
-        }
-    }
-
-    /// Replays a frontier prefix on a fresh state and searches the
-    /// subtree below it (see [`crate::enumerate::Driver::run_prefix`]).
-    pub(crate) fn run_prefix(&mut self, prefix: &[Decision]) {
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return;
-        }
-        for (i, &(u, expand)) in prefix.iter().enumerate() {
-            if self.cfg.retain_candidates {
-                promote_free_candidates(&mut st);
-            }
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if !ok {
-                // Only the *final* decision of a donated prefix may fail:
-                // it is the one branch the donor never attempted itself,
-                // and an infeasible sibling is an empty subtree.
-                debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
-                return;
-            }
-        }
-        self.path = prefix.to_vec();
-        self.rec(&mut st);
-        self.path.clear();
+        branch(self, st, u, [expand_first, !expand_first]);
     }
 }
 

@@ -140,23 +140,13 @@ impl ProblemInstance {
         self.preprocess_impl(Some(pool), Some(candidates))
     }
 
-    /// [`Self::preprocess`] on `threads` workers (`0` = all cores): the
-    /// k-core peel runs level-synchronously in parallel and the per-group
-    /// arenas are materialized concurrently (with a single group, its
-    /// candidate-pair verification is shard-split across the pool
-    /// instead). The returned components are identical to the sequential
-    /// ones, in the same order.
-    pub fn preprocess_parallel(&self, threads: usize) -> Vec<LocalComponent> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        self.preprocess_on(&pool)
-    }
-
-    /// [`Self::preprocess_parallel`] on a caller-provided pool. The
-    /// parallel engine threads one pool through the whole query — peel,
-    /// arena build, and the subtask phase — instead of building a
+    /// [`Self::preprocess`] on a caller-provided pool: the k-core peel
+    /// runs level-synchronously in parallel and the per-group arenas are
+    /// materialized concurrently (with a single group, its candidate-pair
+    /// verification is shard-split across the pool instead). The
+    /// returned components are identical to the sequential ones, in the
+    /// same order. The engine threads one pool through the whole query —
+    /// peel, arena build, and the subtask phase — instead of building a
     /// short-lived pool per phase.
     pub fn preprocess_on(&self, pool: &rayon::ThreadPool) -> Vec<LocalComponent> {
         self.preprocess_impl(Some(pool), None)

@@ -145,6 +145,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -202,9 +203,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// frame the protocol emits nests 5 levels (`metrics` histogram
+/// buckets); the limit keeps one hostile request line from recursing the
+/// parser off its thread's stack, which would abort the whole process.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -253,12 +262,24 @@ impl Parser<'_> {
         }
     }
 
+    /// Opens an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`]; the caller closes it by decrementing `depth`.
+    fn open(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at("nesting too deep", self.pos));
+        }
+        self.eat(b)?;
+        self.depth += 1;
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -269,6 +290,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(JsonError::at("expected ',' or ']'", self.pos)),
@@ -277,11 +299,12 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
+        self.open(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(fields));
         }
         loop {
@@ -297,6 +320,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(JsonError::at("expected ',' or '}'", self.pos)),
@@ -479,6 +503,39 @@ mod tests {
             "\"unterminated",
         ] {
             assert!(Json::parse(text).is_err(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_limit_holds_on_a_small_stack() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        let texts = [
+            arrays(MAX_DEPTH),
+            objects(MAX_DEPTH),
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            // The 0.2 MB line that used to overflow a default-stack thread.
+            "[".repeat(200_000),
+        ];
+        // 256 KiB: an unoptimized build spends up to ~2 KiB of stack per
+        // object level, so the limit needs ~128 KiB there (arrays fit in
+        // 64 KiB in either build); 200 000 levels would need hundreds of
+        // MiB.
+        let errors: Vec<Option<String>> = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                texts
+                    .iter()
+                    .map(|t| Json::parse(t).err().map(|e| e.to_string()))
+                    .collect()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(errors[..2], [None, None], "{MAX_DEPTH} levels must parse");
+        for e in &errors[2..] {
+            assert!(e.as_ref().unwrap().contains("nesting too deep"), "{e:?}");
         }
     }
 

@@ -441,19 +441,10 @@ fn run_query(
     // component set the cache-repair pass has not revalidated.
     let version = dataset.version();
     // One worker pool for the whole query: a cache miss preprocesses on
-    // it and the parallel engine then runs its subtask phase on the same
-    // pool (`threads == 1` stays pool-free on the sequential engine).
+    // it and a split search then runs its subtasks on the same pool (one
+    // worker stays pool-free and searches inline).
     let threads = spec.threads;
-    let pool = if threads == 1 {
-        None
-    } else {
-        Some(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool"),
-        )
-    };
+    let pool = kr_core::thread_pool(threads);
     let preprocess_ms = std::cell::Cell::new(None::<u64>);
     let residual = std::cell::Cell::new(None::<u64>);
     let lookup = PhaseTimer::start(sink, &trace, "cache_lookup");

@@ -322,3 +322,41 @@ fn sharded_cache_stats_account_exactly_for_a_replayed_workload() {
 
     handle.shutdown_and_join().expect("clean shutdown");
 }
+
+#[test]
+fn deeply_nested_request_line_is_a_bad_request_and_the_server_lives() {
+    let handle = Server::bind(ServerConfig::default()).expect("bind").spawn();
+    let addr = handle.addr();
+
+    // 200 000 `[` (0.2 MB, under the line cap): without a nesting limit
+    // the recursive parser overflows the session thread's stack, which
+    // aborts the whole process.
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    let mut hostile = "[".repeat(200_000);
+    hostile.push('\n');
+    stream.write_all(hostile.as_bytes()).expect("send");
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("answer to the hostile line");
+    match Frame::parse(line.trim()).expect("parse") {
+        Frame::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            assert!(message.contains("nesting too deep"), "{message}");
+        }
+        other => panic!("expected a bad_request frame, got {other:?}"),
+    }
+    assert_eq!(handle.state().metrics.requests_malformed.get(), 1);
+    drop(reader);
+    drop(stream);
+
+    let mut fresh = Client::connect(addr).expect("server still accepts");
+    fresh.ping().expect("pong after the hostile line");
+    drop(fresh);
+
+    wait_sessions_drained(&handle);
+    handle.shutdown_and_join().expect("clean shutdown");
+}

@@ -72,7 +72,8 @@ fn parallel_preprocessing_matches_sequential_on_all_presets() {
         let ds = BenchDataset::new(preset, scale);
         let p = ds.instance(k, r);
         let seq = p.preprocess();
-        let par = p.preprocess_parallel(4);
+        let pool = krcore::core::thread_pool(4).expect("4 workers build a pool");
+        let par = p.preprocess_on(&pool);
         assert_eq!(seq.len(), par.len(), "{preset:?}: component count differs");
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(
